@@ -22,7 +22,6 @@ module Wavelet_trie = Wt_core.Wavelet_trie
 module Append_wt = Wt_core.Append_wt
 module Dynamic_wt = Wt_core.Dynamic_wt
 module Balanced = Wt_core.Balanced
-module Range = Wt_core.Range
 module Stats = Wt_core.Stats
 module Naive = Wt_core.Indexed_sequence.Naive
 module Persist = Wt_core.Persist
@@ -376,6 +375,8 @@ let f_figures () =
 (* ------------------------------------------------------------------ *)
 (* S5.range — range algorithms scale with output, not n. *)
 
+module Flat_range = Wt_analytics.Analytics.Make (Wt_core.Flat_wt.Node)
+
 let s5_range () =
   Printf.printf "\n-- S5.range — Section 5 range algorithms\n";
   Printf.printf
@@ -398,14 +399,17 @@ let s5_range () =
         Printf.printf "   n=%7d %-28s %9.1f us/query\n" n name
           (dt *. 1e6 /. float_of_int batch)
       in
-      bench "distinct (range 1024)" (fun ~lo ~hi -> ignore (Range.Static.distinct wt ~lo ~hi));
-      bench "majority (range 1024)" (fun ~lo ~hi -> ignore (Range.Static.majority wt ~lo ~hi));
+      bench "distinct (range 1024)" (fun ~lo ~hi ->
+          ignore (Wtrie.Static.range_distinct ~lo ~hi wt));
+      bench "majority (range 1024)" (fun ~lo ~hi ->
+          ignore (Wtrie.Static.range_majority ~lo ~hi wt));
       bench "at_least 32 (range 1024)" (fun ~lo ~hi ->
-          ignore (Range.Static.at_least wt ~lo ~hi ~threshold:32));
+          ignore (Wtrie.Static.range_distinct ~min_count:32 ~lo ~hi wt));
       bench "top_k 10 (range 1024)" (fun ~lo ~hi ->
-          ignore (Range.Static.top_k wt ~lo ~hi 10));
+          ignore (Wtrie.Static.range_topk ~lo ~hi wt ~k:10));
+      (* sequential access stays below the string API *)
       bench "iter_range (range 1024)" (fun ~lo ~hi ->
-          Range.Static.iter_range wt ~lo ~hi (fun _ -> ())))
+          Flat_range.iter_range wt ~lo ~hi (fun _ -> ())))
     [ 16384; 131072 ];
   flush stdout
 

@@ -40,8 +40,8 @@
     across serving processes).  The [t] equalities are exposed
     ([Static.t] is [Wt_core.Flat_wt.t], [Dynamic.t] is
     [Wt_core.Dynamic_wt.t], ...) so the lower-level toolkits
-    ([Wt_core.Range], [Wt_core.Persist], ...) keep working on the same
-    values. *)
+    ([Wt_analytics.Analytics.Make]'s bitstring-level [iter_range],
+    [Wt_core.Persist], ...) keep working on the same values. *)
 
 type error = Wt_core.Indexed_sequence.error =
   | Position_out_of_bounds of { pos : int; len : int }
@@ -85,10 +85,14 @@ module Static : STATIC_API with type t = Wt_core.Flat_wt.t = struct
   let select_all ?prefix ?lo ?hi t = protect t (fun () -> A.select_all ?prefix ?lo ?hi t)
   let range_count ?prefix t ~lo ~hi = protect t (fun () -> A.range_count ?prefix t ~lo ~hi)
 
-  let range_distinct ?prefix ?lo ?hi t =
-    protect t (fun () -> A.range_distinct ?prefix ?lo ?hi t)
+  let range_distinct ?prefix ?min_count ?lo ?hi t =
+    protect t (fun () -> A.range_distinct ?prefix ?min_count ?lo ?hi t)
 
+  let range_majority ?prefix ?lo ?hi t = protect t (fun () -> A.range_majority ?prefix ?lo ?hi t)
   let range_topk ?prefix ?lo ?hi t ~k = protect t (fun () -> A.range_topk ?prefix ?lo ?hi t ~k)
+
+  let range_quantile ?prefix ?lo ?hi t ~k =
+    protect t (fun () -> A.range_quantile ?prefix ?lo ?hi t ~k)
 
   let query_batch ?domains t ops =
     match

@@ -97,10 +97,11 @@ let pp_value fmt = function
     and uniform: every partial operation returns [(_, error) result]
     with the shared {!error} type; {!val-query_batch} evaluates a
     vector of point operations in one amortized trie traversal, and the
-    range-analytics suite ([select_all] / [range_count] /
-    [range_distinct] / [range_topk], implemented in [lib/analytics])
-    answers window queries with one frontier walk instead of one scalar
-    query per reported item.
+    range-analytics suite of the paper's Section 5 ([select_all] /
+    [range_count] / [range_distinct] / [range_majority] / [range_topk] /
+    [range_quantile], implemented in [lib/analytics]) answers window
+    queries with one frontier walk instead of one scalar query per
+    reported item.
 
     Range conventions: [lo]/[hi] delimit the position window
     [\[lo, hi)] of the sequence, defaulting to the whole sequence;
@@ -176,11 +177,27 @@ module type QUERY_API = sig
       [prefix]: [rank_prefix hi - rank_prefix lo] in one descent. *)
 
   val range_distinct :
-    ?prefix:string -> ?lo:int -> ?hi:int -> t -> ((string * int) array, error) result
+    ?prefix:string ->
+    ?min_count:int ->
+    ?lo:int ->
+    ?hi:int ->
+    t ->
+    ((string * int) array, error) result
   (** The distinct strings occurring in [\[lo, hi)] (matching [prefix])
       with their in-window occurrence counts, in lexicographic order of
       the stored (binarized) strings.  Touches only subtrees that
-      contain window elements. *)
+      contain window elements.  With [~min_count:c] only strings
+      occurring at least [c] times are reported, and subtrees holding
+      fewer than [c] window elements are pruned unvisited (the paper's
+      frequent-values heuristic); [c <= 1] reports everything, [c < 0]
+      is a [Negative_count] error. *)
+
+  val range_majority :
+    ?prefix:string -> ?lo:int -> ?hi:int -> t -> ((string * int) option, error) result
+  (** The string filling more than half of the window positions that
+      match [prefix], with its count, if there is one: [range_distinct]
+      with [min_count = ⌊w/2⌋ + 1] for [w] matching positions, a walk
+      down a single root-to-leaf path. *)
 
   val range_topk :
     ?prefix:string -> ?lo:int -> ?hi:int -> t -> k:int -> ((string * int) array, error) result
@@ -190,6 +207,13 @@ module type QUERY_API = sig
       only nodes whose window count exceeds the k-th answer are
       expanded.  Ties are broken towards the lexicographically smaller
       string. *)
+
+  val range_quantile :
+    ?prefix:string -> ?lo:int -> ?hi:int -> t -> k:int -> (string option, error) result
+  (** The [k]-th (0-based) lexicographically smallest string among the
+      window positions matching [prefix], counting multiplicity, in one
+      O(height) descent; [None] when [k] is at least the number of
+      matching positions.  A negative [k] is a [Negative_count] error. *)
 end
 
 (** {!QUERY_API} plus construction: the full surface of the immutable

@@ -4,7 +4,8 @@
     variants, and the range algorithms) only need trie navigation plus
     rank/select/access/iteration on each node's bitvector β; this module
     type abstracts over the static (RRR), append-only, and fully-dynamic
-    (RLE+γ) node representations so {!Query} and {!Range} are written
+    (RLE+γ) node representations so {!Query}, the batch engine
+    ([lib/exec]) and the range analytics ([lib/analytics]) are written
     once. *)
 
 module type S = sig

@@ -49,6 +49,6 @@ val pp : Format.formatter -> t -> unit
 (** Render the trie in the style of the paper's Figure 2 (labels α and
     bitvectors β per node; β truncated past 64 bits). *)
 
-(** Internal node view used by the Section 5 range algorithms
-    ({!Range}). *)
+(** Internal node view used by the query algorithms, the batch engine
+    and the Section 5 range algorithms ([lib/analytics]). *)
 module Node : Node_view.CURSORED with type trie = t

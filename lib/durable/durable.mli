@@ -82,7 +82,7 @@ val stats : t -> Wt_core.Stats.t
 
 val append_trie : t -> Wt_core.Append_wt.t option
 (** The underlying trie when the store is append-only — the same value
-    the [Wtrie.Append] front door and [Wt_core.Range] operate on. *)
+    the [Wtrie.Append] front door and [Wt_analytics.Analytics] operate on. *)
 
 val dynamic_trie : t -> Wt_core.Dynamic_wt.t option
 

@@ -188,9 +188,10 @@ module View = struct
   let tally_items ?prefix v ~lo ~hi =
     Hashtbl.fold (fun _ (p, r) acc -> (p, !r) :: acc) (tally ?prefix v ~lo ~hi) []
 
-  (* Bitstring-level analytics over the merged view.  Windows are
-     assumed valid, as in {!Wt_analytics.Analytics.Make}. *)
-  let select_all_bits ?prefix v ~lo ~hi =
+  (* Bitstring-level analytics over the merged view, the
+     {!Wt_analytics.Analytics.BITS} the byte façade is built on.
+     Windows are assumed valid and [k >= 0]. *)
+  let select_all ?prefix v ~lo ~hi =
     let parts = ref [] in
     for i = Array.length v.tiers - 1 downto 0 do
       match clip v i ~lo ~hi with
@@ -203,7 +204,7 @@ module View = struct
     (* per-tier results are ascending and tiers are position-disjoint *)
     Array.concat !parts
 
-  let range_count_bits ?prefix v ~lo ~hi =
+  let range_count ?prefix v ~lo ~hi =
     let acc = ref 0 in
     Array.iteri
       (fun i t ->
@@ -213,17 +214,17 @@ module View = struct
       v.tiers;
     !acc
 
-  let range_distinct_bits ?prefix v ~lo ~hi =
-    let items = tally_items ?prefix v ~lo ~hi in
-    let items =
-      List.sort (fun (a, _) (b, _) -> Bitstring.compare a b) items
-    in
-    Array.of_list items
+  (* A string under [min_count] in every tier can still reach it on
+     the merged tallies, so the floor filters merged counts, never the
+     per-tier walks (the same reason top-k merges full tallies). *)
+  let range_distinct ?prefix ?(min_count = 1) v ~lo ~hi =
+    let items = List.filter (fun (_, c) -> c >= min_count) (tally_items ?prefix v ~lo ~hi) in
+    Array.of_list (List.sort (fun (a, _) (b, _) -> Bitstring.compare a b) items)
 
   (* Global top-k needs global counts: a string in no single tier's
      top k can win on the merged tallies, so per-tier topk is not
      sound — merge full distinct tallies, then order. *)
-  let range_topk_bits ?prefix v ~lo ~hi ~k =
+  let range_topk ?prefix v ~lo ~hi ~k =
     if k = 0 then [||]
     else
       let items = tally_items ?prefix v ~lo ~hi in
@@ -239,6 +240,18 @@ module View = struct
         | x :: tl -> x :: take (k - 1) tl
       in
       Array.of_list (take k items)
+
+  (* The k-th occupant of the lex-sorted merged tally, counting
+     multiplicity. *)
+  let range_quantile ?prefix v ~lo ~hi ~k =
+    let items = range_distinct ?prefix v ~lo ~hi in
+    let rec walk i k =
+      if i >= Array.length items then None
+      else
+        let s, c = items.(i) in
+        if k < c then Some s else walk (i + 1) (k - c)
+    in
+    walk 0 k
 
   (* The merged view as an {!Iseq.S} indexed sequence, so the standard
      byte façade ({!Wt_core.String_api.Make}) applies verbatim and the
@@ -950,80 +963,28 @@ let query_batch ?domains t ops =
   | Ok res -> res
   | Error e -> Array.map (fun _ -> Error e) ops
 
-(* Range analytics: merged-level validation and observability (one
-   counter hit, one latency sample, one span per call — the per-tier
-   traversals do not double-count the façade metrics because they run
-   at the bitstring level). *)
-
-let window v lo hi =
-  let len = View.length v in
-  let lo = Option.value lo ~default:0 in
-  let hi = Option.value hi ~default:len in
-  if lo < 0 || lo > len then Error (Iseq.Position_out_of_bounds { pos = lo; len })
-  else if hi < lo || hi > len then
-    Error (Iseq.Position_out_of_bounds { pos = hi; len })
-  else Ok (lo, hi)
-
-let bits_prefix = Option.map Wt_core.String_api.encode_prefix
-let decode_item (path, n) = (Binarize.to_bytes path, n)
+(* Range analytics: the shared byte façade over the merged view.  The
+   per-tier traversals run at the bitstring level, so the façade's
+   counter hit, latency sample and span land once per call. *)
+module A = Wt_analytics.Analytics.Make_string (View)
 
 let select_all ?prefix ?lo ?hi t =
-  protect t (fun () ->
-      let v = current_view t in
-      match window v lo hi with
-      | Error e -> Error e
-      | Ok (lo, hi) ->
-          Probe.hit Analytics_select_all;
-          Trace.with_span ~args:[ ("lo", lo); ("hi", hi) ] "analytics.select_all"
-            (fun () ->
-              Probe.time Analytics_select_all (fun () ->
-                  Ok (View.select_all_bits ?prefix:(bits_prefix prefix) v ~lo ~hi))))
+  protect t (fun () -> A.select_all ?prefix ?lo ?hi (current_view t))
 
 let range_count ?prefix t ~lo ~hi =
-  protect t (fun () ->
-      let v = current_view t in
-      match window v (Some lo) (Some hi) with
-      | Error e -> Error e
-      | Ok (lo, hi) ->
-          Probe.hit Analytics_range_count;
-          Trace.with_span ~args:[ ("lo", lo); ("hi", hi) ] "analytics.range_count"
-            (fun () ->
-              Probe.time Analytics_range_count (fun () ->
-                  Ok (View.range_count_bits ?prefix:(bits_prefix prefix) v ~lo ~hi))))
+  protect t (fun () -> A.range_count ?prefix (current_view t) ~lo ~hi)
 
-let range_distinct ?prefix ?lo ?hi t =
-  protect t (fun () ->
-      let v = current_view t in
-      match window v lo hi with
-      | Error e -> Error e
-      | Ok (lo, hi) ->
-          Probe.hit Analytics_distinct;
-          Trace.with_span ~args:[ ("lo", lo); ("hi", hi) ] "analytics.distinct"
-            (fun () ->
-              Probe.time Analytics_distinct (fun () ->
-                  Ok
-                    (Array.map decode_item
-                       (View.range_distinct_bits ?prefix:(bits_prefix prefix) v
-                          ~lo ~hi)))))
+let range_distinct ?prefix ?min_count ?lo ?hi t =
+  protect t (fun () -> A.range_distinct ?prefix ?min_count ?lo ?hi (current_view t))
+
+let range_majority ?prefix ?lo ?hi t =
+  protect t (fun () -> A.range_majority ?prefix ?lo ?hi (current_view t))
 
 let range_topk ?prefix ?lo ?hi t ~k =
-  if k < 0 then Error (Iseq.Negative_count { count = k })
-  else
-    protect t (fun () ->
-        let v = current_view t in
-        match window v lo hi with
-        | Error e -> Error e
-        | Ok (lo, hi) ->
-            Probe.hit Analytics_topk;
-            Trace.with_span
-              ~args:[ ("lo", lo); ("hi", hi); ("k", k) ]
-              "analytics.topk"
-              (fun () ->
-                Probe.time Analytics_topk (fun () ->
-                    Ok
-                      (Array.map decode_item
-                         (View.range_topk_bits ?prefix:(bits_prefix prefix) v ~lo
-                            ~hi ~k)))))
+  protect t (fun () -> A.range_topk ?prefix ?lo ?hi (current_view t) ~k)
+
+let range_quantile ?prefix ?lo ?hi t ~k =
+  protect t (fun () -> A.range_quantile ?prefix ?lo ?hi (current_view t) ~k)
 
 (* ------------------------------------------------------------------ *)
 (* Verification / recovery *)

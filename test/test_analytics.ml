@@ -1,5 +1,6 @@
 (* Range analytics (lib/analytics): oracle equivalence of select_all /
-   range_count / range_distinct / range_topk against the naive
+   range_count / range_distinct (with and without a min_count floor) /
+   range_majority / range_topk / range_quantile against the naive
    scalar-loop over a plain array, QCheck-driven on all three variants;
    interleaved dynamic inserts/deletes; frozen-snapshot reads while the
    owner mutates; the window/argument error contract; and the
@@ -52,6 +53,15 @@ let o_topk arr ?prefix ~lo ~hi ~k () =
   in
   Array.of_list (List.filteri (fun i _ -> i < k) l)
 
+let o_majority arr ?prefix ~lo ~hi () =
+  let l = o_tally arr ?prefix ~lo ~hi () in
+  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 l in
+  List.find_opt (fun (_, c) -> 2 * c > total) l
+
+let o_quantile arr ?(prefix = "") ~lo ~hi ~k () =
+  let l = List.filter (starts_with ~prefix) (Array.to_list (Array.sub arr lo (hi - lo))) in
+  List.nth_opt (List.sort String.compare l) k
+
 let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected error: %s" (Format.asprintf "%a" I.pp_error e)
@@ -72,9 +82,20 @@ let check_case (type a) name (module V : Wtrie.STRING_API with type t = a) (wt :
   Alcotest.check tallies (ctx ^ " range_distinct")
     (o_distinct arr ?prefix ~lo ~hi ())
     (ok (V.range_distinct ?prefix ~lo ~hi wt));
+  (* k doubles as the min_count floor *)
+  Alcotest.check tallies (ctx ^ " range_distinct ~min_count")
+    (Array.of_list
+       (List.filter (fun (_, c) -> c >= k) (Array.to_list (o_distinct arr ?prefix ~lo ~hi ()))))
+    (ok (V.range_distinct ?prefix ~min_count:k ~lo ~hi wt));
+  Alcotest.(check (option (pair string int))) (ctx ^ " range_majority")
+    (o_majority arr ?prefix ~lo ~hi ())
+    (ok (V.range_majority ?prefix ~lo ~hi wt));
   Alcotest.check tallies (ctx ^ " range_topk")
     (o_topk arr ?prefix ~lo ~hi ~k ())
-    (ok (V.range_topk ?prefix ~lo ~hi wt ~k))
+    (ok (V.range_topk ?prefix ~lo ~hi wt ~k));
+  Alcotest.(check (option string)) (ctx ^ " range_quantile")
+    (o_quantile arr ?prefix ~lo ~hi ~k ())
+    (ok (V.range_quantile ?prefix ~lo ~hi wt ~k))
 
 let check_all_variants arr ?prefix ~lo ~hi ~k () =
   check_case "static" (module Wtrie.Static) (Wtrie.Static.of_array arr) arr ?prefix ~lo
@@ -145,7 +166,17 @@ let test_golden () =
   Alcotest.check tallies "topk k beyond distinct"
     [| ("site.com/home", 3); ("blog.net/post", 2); ("shop.org/cart", 1);
        ("site.com/api/v1", 1); ("site.com/login", 1) |]
-    (ok (Wtrie.Append.range_topk wt ~k:99))
+    (ok (Wtrie.Append.range_topk wt ~k:99));
+  Alcotest.check tallies "at least 2" [| ("blog.net/post", 2); ("site.com/home", 3) |]
+    (ok (Wtrie.Append.range_distinct ~min_count:2 wt));
+  Alcotest.(check (option (pair string int))) "majority window" (Some ("site.com/home", 2))
+    (ok (Wtrie.Append.range_majority ~lo:3 ~hi:6 wt));
+  Alcotest.(check (option (pair string int))) "no majority" None
+    (ok (Wtrie.Append.range_majority wt));
+  Alcotest.(check (option string)) "median" (Some "site.com/home")
+    (ok (Wtrie.Append.range_quantile wt ~k:4));
+  Alcotest.(check (option string)) "prefixed quantile" (Some "site.com/home")
+    (ok (Wtrie.Append.range_quantile ~prefix:"site.com/" wt ~k:1))
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic variant: interleaved inserts/deletes, cross-checked against
@@ -218,6 +249,14 @@ let test_errors () =
   Alcotest.(check bool) "negative k" true
     (err (Wtrie.Append.range_topk wt ~k:(-2)) = I.Negative_count { count = -2 });
   Alcotest.check tallies "k = 0" [||] (ok (Wtrie.Append.range_topk wt ~k:0));
+  Alcotest.(check bool) "negative min_count" true
+    (err (Wtrie.Append.range_distinct ~min_count:(-1) wt) = I.Negative_count { count = -1 });
+  Alcotest.(check bool) "negative quantile" true
+    (err (Wtrie.Append.range_quantile wt ~k:(-1)) = I.Negative_count { count = -1 });
+  Alcotest.(check bool) "majority window" true
+    (err (Wtrie.Append.range_majority ~lo:6 wt) = I.Position_out_of_bounds { pos = 6; len = 5 });
+  Alcotest.(check (option string)) "quantile k = window" None
+    (ok (Wtrie.Append.range_quantile ~lo:1 ~hi:4 wt ~k:3));
   Alcotest.check positions "absent prefix" [||]
     (ok (Wtrie.Append.select_all ~prefix:"zzz" wt));
   check_int "absent prefix count" 0 (ok (Wtrie.Append.range_count ~prefix:"zzz" wt ~lo:0 ~hi:5));
@@ -228,6 +267,10 @@ let test_errors () =
   Alcotest.check positions "empty seq select_all" [||] (ok (Wtrie.Append.select_all e));
   Alcotest.check tallies "empty seq distinct" [||] (ok (Wtrie.Append.range_distinct e));
   Alcotest.check tallies "empty seq topk" [||] (ok (Wtrie.Append.range_topk e ~k:3));
+  Alcotest.(check (option (pair string int))) "empty seq majority" None
+    (ok (Wtrie.Append.range_majority e));
+  Alcotest.(check (option string)) "empty seq quantile" None
+    (ok (Wtrie.Append.range_quantile e ~k:0));
   check_int "empty seq count" 0 (ok (Wtrie.Append.range_count e ~lo:0 ~hi:0))
 
 (* ------------------------------------------------------------------ *)
@@ -242,10 +285,13 @@ let test_probes () =
   ignore (ok (Wtrie.Append.range_distinct wt));
   ignore (ok (Wtrie.Append.range_topk wt ~k:2));
   ignore (ok (Wtrie.Append.range_topk wt ~k:1));
+  (* at-least and majority are pruned distinct walks *)
+  ignore (ok (Wtrie.Append.range_distinct ~min_count:2 wt));
+  ignore (ok (Wtrie.Append.range_majority wt));
   Probe.disable ();
   check_int "select_all counter" 1 (Probe.counter Wt_obs.Metric.Analytics_select_all);
   check_int "range_count counter" 1 (Probe.counter Wt_obs.Metric.Analytics_range_count);
-  check_int "distinct counter" 1 (Probe.counter Wt_obs.Metric.Analytics_distinct);
+  check_int "distinct counter" 3 (Probe.counter Wt_obs.Metric.Analytics_distinct);
   check_int "topk counter" 2 (Probe.counter Wt_obs.Metric.Analytics_topk);
   Probe.reset ()
 

@@ -159,9 +159,25 @@ let check_equiv ctx arr pwt fwt =
   Alcotest.check tallies (ctx ^ " range_distinct")
     (An_pointer.range_distinct ~lo ~hi pwt)
     (Wtrie.Static.range_distinct ~lo ~hi fwt);
+  Alcotest.check tallies (ctx ^ " range_distinct ~min_count")
+    (An_pointer.range_distinct ~min_count:2 ~lo ~hi pwt)
+    (Wtrie.Static.range_distinct ~min_count:2 ~lo ~hi fwt);
+  Alcotest.check
+    Alcotest.(result (option (pair string int)) (testable Wtrie.pp_error ( = )))
+    (ctx ^ " range_majority")
+    (An_pointer.range_majority ~lo ~hi pwt)
+    (Wtrie.Static.range_majority ~lo ~hi fwt);
   Alcotest.check tallies (ctx ^ " range_topk")
     (An_pointer.range_topk ~lo ~hi pwt ~k:3)
     (Wtrie.Static.range_topk ~lo ~hi fwt ~k:3);
+  List.iter
+    (fun k ->
+      Alcotest.check
+        Alcotest.(result (option string) (testable Wtrie.pp_error ( = )))
+        (Printf.sprintf "%s range_quantile %d" ctx k)
+        (An_pointer.range_quantile ~lo ~hi pwt ~k)
+        (Wtrie.Static.range_quantile ~lo ~hi fwt ~k))
+    [ -1; 0; (hi - lo) / 2; hi - lo - 1; hi - lo ];
   (* the batch engine over the arena agrees with the scalar answers *)
   if n > 0 then begin
   let ops =
@@ -278,6 +294,10 @@ let test_close () =
       expect_closed "range_count" (Wtrie.Static.range_count wt ~lo:0 ~hi:1);
       expect_closed "range_distinct" (Wtrie.Static.range_distinct wt);
       expect_closed "range_topk" (Wtrie.Static.range_topk wt ~k:1);
+      expect_closed "range_distinct ~min_count"
+        (Wtrie.Static.range_distinct ~min_count:2 wt);
+      expect_closed "range_majority" (Wtrie.Static.range_majority wt);
+      expect_closed "range_quantile" (Wtrie.Static.range_quantile wt ~k:0);
       expect_closed "save_file" (Wtrie.Static.save_file wt path);
       Array.iter (expect_closed "batch")
         (Wtrie.Static.query_batch wt [| Access { pos = 0 }; Rank { s = "a"; pos = 1 } |]);

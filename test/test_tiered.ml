@@ -199,11 +199,23 @@ let differential ?(tag = "") t (oracle : string array) (dyn : Wtrie.Dynamic.t) =
               (Wtrie.Dynamic.range_distinct ?prefix ~lo ~hi dyn
               = T.range_distinct ?prefix ~lo ~hi t);
             List.iter
+              (fun min_count ->
+                check_bool (ctx "range_distinct ~min_count") true
+                  (Wtrie.Dynamic.range_distinct ?prefix ~min_count ~lo ~hi dyn
+                  = T.range_distinct ?prefix ~min_count ~lo ~hi t))
+              [ 0; 2; 3 ];
+            check_bool (ctx "range_majority") true
+              (Wtrie.Dynamic.range_majority ?prefix ~lo ~hi dyn
+              = T.range_majority ?prefix ~lo ~hi t);
+            List.iter
               (fun k ->
                 check_bool (ctx "range_topk") true
                   (Wtrie.Dynamic.range_topk ?prefix ~lo ~hi dyn ~k
-                  = T.range_topk ?prefix ~lo ~hi t ~k))
-              [ 0; 1; 2; 1000 ])
+                  = T.range_topk ?prefix ~lo ~hi t ~k);
+                check_bool (ctx "range_quantile") true
+                  (Wtrie.Dynamic.range_quantile ?prefix ~lo ~hi dyn ~k
+                  = T.range_quantile ?prefix ~lo ~hi t ~k))
+              [ 0; 1; 2; (hi - lo) / 2; 1000 ])
           [ ""; "a"; "ab" ])
     windows;
   (* window validation errors *)
@@ -211,7 +223,11 @@ let differential ?(tag = "") t (oracle : string array) (dyn : Wtrie.Dynamic.t) =
     (T.range_count t ~lo:(-1) ~hi:0
     = Error (Wtrie.Position_out_of_bounds { pos = -1; len = n }));
   check_bool (ctx "bad topk") true
-    (T.range_topk t ~k:(-1) = Error (Wtrie.Negative_count { count = -1 }))
+    (T.range_topk t ~k:(-1) = Error (Wtrie.Negative_count { count = -1 }));
+  check_bool (ctx "bad min_count") true
+    (T.range_distinct t ~min_count:(-1) = Error (Wtrie.Negative_count { count = -1 }));
+  check_bool (ctx "bad quantile") true
+    (T.range_quantile t ~k:(-1) = Error (Wtrie.Negative_count { count = -1 }))
 
 (* ------------------------------------------------------------------ *)
 (* The scenario property *)
